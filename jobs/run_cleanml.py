@@ -25,7 +25,7 @@ def main(spark, protocol_name: str, out_dir: str, errors=None) -> dict:
     error_types = tuple(errors) if errors else ERROR_TYPES
     os.makedirs(out_dir, exist_ok=True)
 
-    results = run_grid(spark, protocol, error_types).cache()
+    results = run_grid(spark, protocol, error_types)
     results.write.mode("overwrite").parquet(os.path.join(out_dir, "results.parquet"))
     print(f"results: {results.count()} rows")
 

@@ -79,7 +79,7 @@ def merge_pandas(pdf: pd.DataFrame, stats: MergeStats, cols: list[str]) -> pd.Da
 def fit_merge_stats_spark(train: DataFrame, cols: list[str]) -> MergeStats:
     """Spark-native fit: fingerprint UDF + groupBy to pick the most
     frequent variant per cluster."""
-    fp_udf = F.udf(fingerprint, T.StringType())
+    fp_udf = F.udf(fingerprint, T.StringType(), useArrow=False)
     stats = MergeStats()
     for c in cols:
         counted = (
@@ -103,7 +103,7 @@ def fit_merge_stats_spark(train: DataFrame, cols: list[str]) -> MergeStats:
 
 def merge_spark(sdf: DataFrame, stats: MergeStats, cols: list[str]) -> DataFrame:
     """Spark transform: map values through the fitted canonical mapping."""
-    fp_udf = F.udf(fingerprint, T.StringType())
+    fp_udf = F.udf(fingerprint, T.StringType(), useArrow=False)
     out = sdf
     for c in cols:
         mapping = stats.canonical[c]

@@ -1,11 +1,13 @@
 """Spark harness: the experiment grid as a distributed dataflow.
 
-The grid DataFrame has one row per work unit (dataset, error_type,
-split_seed); ``groupBy(...).applyInPandas`` executes
-:func:`repro.core.runner.run_unit` for each unit in parallel across the
-cluster (datasets are regenerated inside the task from their seed, so
-no data is shipped). The output is the long results DataFrame the
-relation builders consume.
+The grid has one row per work unit (dataset, error_type, split_seed).
+Unit ``i`` runs as partition ``i`` of ``spark.range(n)``: one
+``mapInPandas`` task per unit calls :func:`repro.core.runner.run_unit`
+(datasets are regenerated inside the task from their seed, so no data
+is shipped, and there is no shuffle). Spark launches tasks in partition
+order, so the grid order, which lists the expensive missing-value and
+outlier units first, is also the start order. The output is the long
+results DataFrame the relation builders consume.
 """
 from __future__ import annotations
 
@@ -60,33 +62,22 @@ def run_grid(
     error_types: tuple[str, ...] = ERROR_TYPES,
     datasets: tuple[str, ...] | None = None,
 ) -> DataFrame:
-    """Execute the whole grid on Spark; returns the results DataFrame."""
+    """Execute the whole grid on Spark, one unit per task; returns the
+    cached (and materialized) results DataFrame."""
     from repro.core.runner import run_unit
 
     grid = build_grid(protocol, error_types, datasets)
+    units = [
+        (d, e, int(s)) for d, e, s in zip(grid.dataset, grid.error_type, grid.split_seed)
+    ]
 
-    def _run(key, pdf):
-        dataset, error_type, split_seed = key
-        return run_unit(dataset, error_type, int(split_seed), protocol)
+    def _run(batches):
+        for batch in batches:
+            for i in batch["id"]:
+                yield run_unit(*units[i], protocol)
 
-    n_units = len(grid)
-    # The groupBy shuffle decides execution parallelism: give it one
-    # partition per unit (capped) so no task serializes many expensive
-    # units, and keep AQE from coalescing the byte-sized partitions.
-    # The result is materialized (cache + count) while these confs are
-    # in effect, then the session confs are restored.
-    prev_parts = spark.conf.get("spark.sql.shuffle.partitions")
-    prev_aqe = spark.conf.get("spark.sql.adaptive.coalescePartitions.enabled", "true")
-    spark.conf.set("spark.sql.shuffle.partitions", str(min(n_units, 512)))
-    spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", "false")
-    try:
-        sdf = spark.createDataFrame(grid).repartition(n_units)
-        out = sdf.groupBy("dataset", "error_type", "split_seed").applyInPandas(
-            _run, schema=RESULT_SCHEMA
-        )
-        out = out.cache()
-        out.count()
-    finally:
-        spark.conf.set("spark.sql.shuffle.partitions", prev_parts)
-        spark.conf.set("spark.sql.adaptive.coalescePartitions.enabled", prev_aqe)
+    n_units = len(units)
+    out = spark.range(0, n_units, 1, n_units).mapInPandas(_run, schema=RESULT_SCHEMA)
+    out = out.cache()
+    out.count()
     return out

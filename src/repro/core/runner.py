@@ -9,7 +9,7 @@ resulting long-format rows are all the harness needs to assemble the
 BD/CD metric pairs of R1, R2 and R3 afterwards.
 
 Runs in plain pandas/NumPy so the Spark harness can execute thousands
-of units in parallel via ``applyInPandas``.
+of units in parallel, one ``mapInPandas`` task each.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from repro.cleaning.registry import (
 from repro.core.protocol import Protocol
 from repro.core.schema import DELETE_BASELINE, DIRTY, RESULT_COLUMNS
 from repro.datasets.base import DatasetSpec
-from repro.datasets.registry import load_dataset, spec_for
+from repro.datasets.registry import datasets_with_error, load_dataset, spec_for
 from repro.ml.features import Featurizer, downsample_majority
 from repro.ml.metrics import metric_fn
 from repro.ml.search import random_search
@@ -145,6 +145,11 @@ def run_unit(
     protocol: Protocol,
 ) -> pd.DataFrame:
     """Execute one unit; returns long-format result rows."""
+    if dataset not in datasets_with_error(error_type):
+        raise ValueError(
+            f"dataset {dataset!r} does not take part in the {error_type!r} "
+            "experiments; see repro.datasets.registry.datasets_with_error"
+        )
     spec = spec_for(dataset)
     pdf = load_dataset(dataset)
     train, test = split_frame(pdf, split_seed, protocol.test_frac)

@@ -19,9 +19,6 @@ def baseline_for(error_type: str) -> str:
     return DELETE_BASELINE if error_type == "missing_values" else DIRTY
 
 
-BASELINE = baseline_for
-
-
 def scenarios_for(error_type: str) -> tuple[str, ...]:
     """Valid scenarios per error type (§3.4: missing values are BD-only)."""
     return ("BD",) if error_type == "missing_values" else SCENARIOS

@@ -1,5 +1,5 @@
-"""Integration test: the full Spark dataflow (grid -> applyInPandas ->
-relations -> queries -> report) at smoke scale."""
+"""Integration test: the full Spark dataflow (grid -> one mapInPandas
+task per unit -> relations -> queries -> report) at smoke scale."""
 import dataclasses
 
 import pytest
@@ -38,6 +38,18 @@ class TestResults:
     def test_expected_row_count(self, results):
         # 2 datasets x 3 splits x 2 versions x 3 models x 1 seed x 2 variants.
         assert results.count() == 2 * 3 * 2 * 3 * 1 * 2
+
+    def test_one_unit_per_task(self, results):
+        from pyspark.sql import functions as F
+
+        assert results.rdd.getNumPartitions() == 6
+        per_part = (
+            results.groupBy(F.spark_partition_id().alias("part"))
+            .agg(F.countDistinct("dataset", "error_type", "split_seed").alias("units"))
+            .toPandas()
+        )
+        assert len(per_part) == 6
+        assert (per_part.units == 1).all()
 
     def test_metrics_bounded(self, results):
         pdf = results.toPandas()

@@ -133,6 +133,13 @@ class TestRunUnit:
         # F1 on an 11%-minority task cannot hit the accuracy range of ~0.9
         assert out.test_metric.max() < 0.95
 
+    @pytest.mark.parametrize(
+        "dataset, error_type", [("KDD", "mislabels"), ("EEG", "typos")]
+    )
+    def test_unit_outside_its_error_type_is_refused(self, dataset, error_type):
+        with pytest.raises(ValueError, match=f"{dataset}.*{error_type}"):
+            run_unit(dataset, error_type, 100, TINY)
+
     def test_detect_repair_metadata(self):
         out = run_unit("Sensor", "outliers", 105, TINY)
         dirty = out[out.train_version == "dirty"]
