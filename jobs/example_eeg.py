@@ -21,9 +21,13 @@ def main(spark, n_splits: int = 8) -> dict:
 
     from repro.core.harness import run_grid
     from repro.core.protocol import FULL
-    from repro.core.relations import build_pairs_r1, build_pairs_r2, build_pairs_r3
+    from repro.core.relations import (
+        build_pairs_r1,
+        build_pairs_r2,
+        build_pairs_r3,
+        build_relations,
+    )
     from repro.core.report import markdown_table
-    from repro.stats import by_adjust, paired_ttest
 
     protocol = dataclasses.replace(FULL, n_splits=n_splits)
     print("## Table 6 — experiment specifications")
@@ -92,27 +96,22 @@ def main(spark, n_splits: int = 8) -> dict:
     print("\n## Table 12 — per-split metric pairs for s1 (B, D)")
     print(markdown_table(s1[["split_seed", "before_metric", "after_metric"]].round(6)))
 
-    tt = paired_ttest(s1.before_metric, s1.after_metric)
+    # Tables 13-14: s1's row of R1. The results hold only EEG/outliers,
+    # so R1's BY family is every EEG-outlier hypothesis.
+    r1 = build_relations(results, alpha=protocol.alpha)["R1"]
+    row = r1[
+        (r1.detect == "IQR") & (r1.repair == "impute_mean")
+        & (r1.model == "logistic_regression") & (r1.scenario == "BD")
+    ].iloc[0]
+    tests = ["two-tailed", "upper-tailed", "lower-tailed"]
     print("\n## Table 13 — raw p-values for s1")
     print(markdown_table(pd.DataFrame(
-        {"test": ["two-tailed", "upper-tailed", "lower-tailed"],
-         "p": [tt.p_two, tt.p_upper, tt.p_lower]})))
-
-    # Table 14: BY correction in the context of all EEG-outlier R1 tests.
-    all_r1 = pairs_r1.toPandas()
-    rows = []
-    for key, grp in all_r1.groupby(["detect", "repair", "model", "scenario"]):
-        r = paired_ttest(grp.before_metric, grp.after_metric)
-        rows.append({"key": key, "p_two": r.p_two, "p_upper": r.p_upper, "p_lower": r.p_lower})
-    fam = pd.DataFrame(rows)
-    target = ("IQR", "impute_mean", "logistic_regression", "BD")
-    adj = {c: by_adjust(fam[c].to_numpy()) for c in ("p_two", "p_upper", "p_lower")}
-    i = fam.index[fam.key == target][0]
+        {"test": tests, "p": [row.p_two, row.p_upper, row.p_lower]})))
     print("\n## Table 14 — BY-corrected p-values for s1 "
-          f"(family = {len(fam)} EEG-outlier hypotheses)")
+          f"(family = {len(r1)} EEG-outlier hypotheses)")
     print(markdown_table(pd.DataFrame(
-        {"test": ["two-tailed", "upper-tailed", "lower-tailed"],
-         "corrected p": [adj["p_two"][i], adj["p_upper"][i], adj["p_lower"][i]]})))
+        {"test": tests,
+         "corrected p": [row.p_two_adj, row.p_upper_adj, row.p_lower_adj]})))
 
     pairs_r3 = build_pairs_r3(pairs_r2)
     s3 = pairs_r3.where("scenario = 'BD'").toPandas()

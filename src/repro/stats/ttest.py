@@ -31,13 +31,7 @@ class PairedTTest:
 
 
 def paired_ttest(before: Sequence[float], after: Sequence[float]) -> PairedTTest:
-    """Run two-, upper- and lower-tailed paired t-tests on metric pairs.
-
-    Degenerate cases (fewer than 2 pairs, or all differences identical)
-    cannot reject anything and return p-values of 1.0 except when every
-    difference is identically non-zero with zero variance, where the
-    direction is certain and the corresponding one-sided p is 0.
-    """
+    """Run two-, upper- and lower-tailed paired t-tests on metric pairs."""
     b = np.asarray(before, dtype=np.float64)
     a = np.asarray(after, dtype=np.float64)
     if b.shape != a.shape:
@@ -45,9 +39,21 @@ def paired_ttest(before: Sequence[float], after: Sequence[float]) -> PairedTTest
     d = a - b
     n = d.size
     mean = float(d.mean()) if n else 0.0
+    sd = float(d.std(ddof=1)) if n > 1 else np.nan
+    return ttest_from_moments(n, mean, sd)
+
+
+def ttest_from_moments(n: int, mean: float, sd: float) -> PairedTTest:
+    """The three paired t-tests from the differences' count, mean and
+    sample standard deviation (``sd`` may be NaN when ``n < 2``).
+
+    Degenerate cases (fewer than 2 pairs, or all differences identical)
+    cannot reject anything and return p-values of 1.0 except when every
+    difference is identically non-zero with zero variance, where the
+    direction is certain and the corresponding one-sided p is 0.
+    """
     if n < 2:
         return PairedTTest(n, mean, np.nan, 1.0, 1.0, 1.0)
-    sd = float(d.std(ddof=1))
     if sd == 0.0:
         if mean == 0.0:
             return PairedTTest(n, mean, 0.0, 1.0, 1.0, 1.0)

@@ -180,3 +180,10 @@ class TestMissingValuesSemantics:
         assert set(pairs.scenario) == {"BD"}
         assert pairs.before_metric.unique().tolist() == [pytest.approx(0.6)]
         assert pairs.after_metric.unique().tolist() == [pytest.approx(0.68)]
+
+
+def test_single_split_spec_is_insignificant(results):
+    one_split = results.where(results.split_seed == SPLITS[0])
+    for name, rel in build_relations(one_split).items():
+        assert (rel.n_pairs == 1).all(), name
+        assert (rel.flag == "S").all(), name

@@ -16,6 +16,7 @@ from repro.stats import (
     paired_ttest,
     t_cdf,
     t_sf,
+    ttest_from_moments,
 )
 
 
@@ -168,6 +169,34 @@ class TestPairedTTest:
             assert min(r.p_upper, r.p_lower) == pytest.approx(
                 r.p_two / 2, rel=1e-6
             )
+
+
+class TestTTestFromMoments:
+    def test_paired_ttest_is_the_moments_test(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(2, 30))
+            before = rng.uniform(0.4, 0.9, n)
+            after = before + rng.normal(rng.uniform(-0.05, 0.05), rng.uniform(0.001, 0.05), n)
+            d = after - before
+            assert paired_ttest(before, after) == ttest_from_moments(
+                n, float(d.mean()), float(d.std(ddof=1))
+            )
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_pairs(self, n):
+        # Spark's stddev_samp over one row is NULL, collected as NaN.
+        r = ttest_from_moments(n, 0.3, np.nan)
+        assert (r.p_two, r.p_upper, r.p_lower) == (1.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize("mean, expected", [
+        (0.1, (0.0, 0.0, 1.0)),
+        (-0.1, (0.0, 1.0, 0.0)),
+        (0.0, (1.0, 1.0, 1.0)),
+    ])
+    def test_zero_variance(self, mean, expected):
+        r = ttest_from_moments(5, mean, 0.0)
+        assert (r.p_two, r.p_upper, r.p_lower) == expected
 
 
 class TestBYAdjust:
