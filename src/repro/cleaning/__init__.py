@@ -1,14 +1,11 @@
 """Cleaning substrate: Table 2 detect/repair methods.
 
-Every method exists in two equivalent forms sharing one fitted stats
-object (statistics always computed on the training set, §4.1 step 2):
-
-* a **Spark DataFrame transform** (Column expressions, window
-  functions, aggregations) — the production dataflow path, and
-* a **pandas twin** used inside the grid harness's ``mapInPandas``
-  tasks, where per-unit frames are a few hundred rows.
-
-Cross-form equivalence is covered by tests per error type.
+Every method has one implementation: pandas functions that fit their
+statistics on the training set only (§4.1 step 2) and apply them to
+the training and test frames. They run inside the grid harness's
+``mapInPandas`` tasks, where per-unit frames are a few hundred rows, so
+nothing here imports Spark. The tests check each fitted statistic and
+repair against DuckDB SQL (:mod:`repro.oracle`).
 """
 from repro.cleaning.registry import (
     CleaningMethod,

@@ -63,7 +63,8 @@ def run_grid(
     datasets: tuple[str, ...] | None = None,
 ) -> DataFrame:
     """Execute the whole grid on Spark, one unit per task; returns the
-    cached (and materialized) results DataFrame."""
+    cached (and materialized) results DataFrame. A unit that raises
+    fails the job with a ``RuntimeError`` naming the unit."""
     from repro.core.runner import run_unit
 
     grid = build_grid(protocol, error_types, datasets)
@@ -74,7 +75,14 @@ def run_grid(
     def _run(batches):
         for batch in batches:
             for i in batch["id"]:
-                yield run_unit(*units[i], protocol)
+                dataset, error_type, split_seed = units[i]
+                try:
+                    rows = run_unit(dataset, error_type, split_seed, protocol)
+                except Exception as exc:
+                    raise RuntimeError(
+                        f"unit {dataset}/{error_type}/{split_seed} failed: {exc!r}"
+                    ) from exc
+                yield rows
 
     n_units = len(units)
     out = spark.range(0, n_units, 1, n_units).mapInPandas(_run, schema=RESULT_SCHEMA)

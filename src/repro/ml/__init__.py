@@ -1,11 +1,9 @@
 """ML substrate: preprocessing, the seven CleanML classifiers, search.
 
-Two backends share the model registry names (paper §3.3):
-
-* :mod:`repro.ml.models` — vectorized NumPy implementations used to
-  populate the full benchmark grid from inside Spark tasks.
-* :mod:`repro.ml.mllib` — Spark MLlib pipeline stages (plus custom KNN
-  and AdaBoost stages, which MLlib lacks).
+* :mod:`repro.ml.models` — the one implementation of the seven models
+  (paper §3.3), vectorized NumPy, fitted inside the grid's Spark tasks.
+* :mod:`repro.ml.mllib` — stock Spark MLlib estimators for five of the
+  models, kept only as an independent test oracle for the NumPy ones.
 """
 from repro.ml.features import Featurizer, downsample_majority
 from repro.ml.models import MODEL_NAMES, make_model

@@ -1,29 +1,18 @@
-"""Spark MLlib backend: cleaning output -> pipeline stages -> model.
+"""Stock Spark MLlib pipelines: an independent oracle for the NumPy models.
 
-This is the paper's pipeline expressed in Spark ML: one-hot encoding
+The paper's preprocessing expressed in Spark ML: one-hot encoding
 (StringIndexer + OneHotEncoder), hashed tf-idf for text, mean
 imputation of residual numeric nulls, standardization, then one of the
-seven classifiers. Five come from MLlib directly (XGBoost is
-substituted by MLlib's gradient-boosted trees, see DESIGN.md);
-**KNN** and **AdaBoost** do not exist in MLlib and are implemented
-here on top of the DataFrame API:
+five classifiers MLlib ships (XGBoost is substituted by MLlib's
+gradient-boosted trees, see DESIGN.md). KNN and AdaBoost have no stock
+MLlib estimator and are not covered.
 
-* :class:`KNNClassifier` broadcasts the (small) training matrix and
-  scores partitions with ``mapInPandas``;
-* :class:`AdaBoostClassifier` runs SAMME boosting over MLlib decision
-  trees using ``weightCol`` for the per-round reweighting.
-
-The full benchmark grid uses the NumPy backend for throughput (see
-DESIGN.md §2); this backend is exercised by the integration tests and
-the `jobs/mllib_pipeline_demo.py` entry point, with a cross-backend
-equivalence test pinning the two to the same accuracy ballpark.
+The grid runs only the NumPy models (:mod:`repro.ml.models`). This
+module is not on that path: ``tests/test_mllib.py`` fits both backends
+on the same cleaned frames and checks that their accuracies agree.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
-import numpy as np
-import pandas as pd
 from pyspark.ml import Pipeline
 from pyspark.ml.classification import (
     DecisionTreeClassifier,
@@ -105,7 +94,7 @@ def prepare(sdf: DataFrame, spec: DatasetSpec) -> DataFrame:
 
 
 def make_estimator(name: str, params: dict | None = None, seed: int = 0):
-    """MLlib estimator (or custom stage) for one of the seven models."""
+    """Stock MLlib estimator for one of the five models MLlib has."""
     p = dict(params or {})
     if name == "logistic_regression":
         return LogisticRegression(
@@ -138,137 +127,7 @@ def make_estimator(name: str, params: dict | None = None, seed: int = 0):
         return NaiveBayes(
             featuresCol=FEATURES, labelCol=LABEL, modelType="gaussian"
         )
-    if name == "knn":
-        return KNNClassifier(k=p.get("k", 5))
-    if name == "adaboost":
-        return AdaBoostClassifier(
-            n_estimators=p.get("n_estimators", 5),
-            max_depth=p.get("max_depth", 2),
-            seed=seed,
-        )
     raise KeyError(f"unknown model {name!r}")
-
-
-class KNNClassifier:
-    """k-NN as a DataFrame -> DataFrame transformation.
-
-    ``fit`` collects the (downsampled, featurized) training matrix —
-    small by construction — and broadcasts it; ``transform`` scores
-    each partition of the test DataFrame with ``mapInPandas``, so
-    prediction scales with the test side.
-    """
-
-    def __init__(self, k: int = 5):
-        self.k = k
-
-    def fit(self, train: DataFrame) -> "KNNClassifier":
-        rows = train.select(FEATURES, LABEL).collect()
-        self._X = np.array([r[FEATURES].toArray() for r in rows])
-        self._y = np.array([float(r[LABEL]) for r in rows])
-        self._spark = train.sparkSession
-        return self
-
-    def transform(self, test: DataFrame) -> DataFrame:
-        sc = self._spark.sparkContext
-        bX = sc.broadcast(self._X)
-        by = sc.broadcast(self._y)
-        k = min(self.k, len(self._y))
-
-        def score(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            X_train, y_train = bX.value, by.value
-            sq = (X_train**2).sum(axis=1)
-            for pdf in batches:
-                Xq = np.array([np.array(v["values"]) if isinstance(v, dict) else v
-                               for v in pdf["__fvec"]])
-                Xq = np.vstack(Xq) if len(Xq) else Xq.reshape(0, X_train.shape[1])
-                d2 = (Xq**2).sum(axis=1)[:, None] - 2 * Xq @ X_train.T + sq[None, :]
-                nn = np.argpartition(d2, k - 1, axis=1)[:, :k]
-                pdf = pdf.drop(columns=["__fvec"])
-                pdf["prediction"] = (y_train[nn].mean(axis=1) > 0.5).astype("float64")
-                yield pdf
-
-        from pyspark.ml.functions import vector_to_array
-
-        with_arr = test.withColumn("__fvec", vector_to_array(F.col(FEATURES)))
-        # Only plain scalar columns survive mapInPandas; vector-typed
-        # intermediates (one-hot blocks, raw_features) are dropped.
-        scalar_types = {"string", "double", "float", "int", "bigint", "boolean"}
-        keep = [
-            c
-            for c in test.columns
-            if c != FEATURES
-            and with_arr.schema[c].dataType.simpleString() in scalar_types
-        ]
-        schema_cols = ", ".join(
-            f"`{c}` {with_arr.schema[c].dataType.simpleString()}" for c in keep
-        )
-        out_schema = schema_cols + ", prediction double"
-        return with_arr.select(*keep, "__fvec").mapInPandas(score, schema=out_schema)
-
-
-class AdaBoostClassifier:
-    """SAMME AdaBoost over MLlib decision trees via ``weightCol``.
-
-    Each round fits a weighted ``DecisionTreeClassifier``, computes the
-    weighted error with a DataFrame aggregation, and reweights the
-    training rows in place — boosting expressed entirely in the
-    DataFrame dataflow.
-    """
-
-    def __init__(self, n_estimators: int = 5, max_depth: int = 2, seed: int = 0):
-        self.n_estimators = n_estimators
-        self.max_depth = max_depth
-        self.seed = seed
-
-    def fit(self, train: DataFrame) -> "AdaBoostClassifier":
-        df = train.withColumn("__w", F.lit(1.0)).cache()
-        self.stages_: list[tuple] = []
-        for t in range(self.n_estimators):
-            tree = DecisionTreeClassifier(
-                featuresCol=FEATURES,
-                labelCol=LABEL,
-                weightCol="__w",
-                maxDepth=self.max_depth,
-                seed=self.seed + t,
-            ).fit(df)
-            scored = tree.transform(df).withColumn(
-                "__wrong", (F.col("prediction") != F.col(LABEL)).cast("double")
-            )
-            agg = scored.agg(
-                (F.sum(F.col("__w") * F.col("__wrong")) / F.sum("__w")).alias("err")
-            ).collect()[0]
-            err = float(agg["err"])
-            if err <= 1e-10:
-                self.stages_.append((tree, 10.0))
-                break
-            if err >= 0.5:
-                if not self.stages_:
-                    self.stages_.append((tree, 1e-6))
-                break
-            alpha = 0.5 * float(np.log((1 - err) / err))
-            self.stages_.append((tree, alpha))
-            df = (
-                scored.withColumn(
-                    "__w",
-                    F.col("__w")
-                    * F.exp(F.lit(alpha) * (2 * F.col("__wrong") - 1)),
-                )
-                .drop("prediction", "rawPrediction", "probability", "__wrong")
-                .cache()
-            )
-        return self
-
-    def transform(self, test: DataFrame) -> DataFrame:
-        out = test.withColumn("__score", F.lit(0.0))
-        for i, (tree, alpha) in enumerate(self.stages_):
-            scored = tree.transform(out).withColumnRenamed("prediction", f"__p{i}")
-            out = scored.drop("rawPrediction", "probability").withColumn(
-                "__score",
-                F.col("__score") + F.lit(alpha) * (2 * F.col(f"__p{i}") - 1),
-            ).drop(f"__p{i}")
-        return out.withColumn(
-            "prediction", (F.col("__score") > 0).cast("double")
-        ).drop("__score")
 
 
 def fit_and_predict(
@@ -290,8 +149,5 @@ def fit_and_predict(
     feat = build_feature_pipeline(spec).fit(train_p)
     train_f = feat.transform(train_p)
     test_f = feat.transform(test_p)
-    est = make_estimator(name, params, seed=seed)
-    if isinstance(est, (KNNClassifier, AdaBoostClassifier)):
-        return est.fit(train_f).transform(test_f)
-    model = est.fit(train_f)
+    model = make_estimator(name, params, seed=seed).fit(train_f)
     return model.transform(test_f)

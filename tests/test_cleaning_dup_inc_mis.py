@@ -1,28 +1,21 @@
-"""Duplicates, inconsistencies, mislabels cleaning + registry tests."""
+"""Duplicates, inconsistencies, mislabels cleaning (repairs against
+DuckDB SQL) + registry tests."""
 import numpy as np
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.cleaning.duplicates import (
-    dedup_pandas,
-    dedup_spark,
-    detect_duplicates_pandas,
-)
+from repro.cleaning.duplicates import dedup_pandas, detect_duplicates_pandas
 from repro.cleaning.inconsistencies import (
+    detect_inconsistent_pandas,
     fingerprint,
     fit_merge_stats,
-    fit_merge_stats_spark,
-    detect_inconsistent_pandas,
     merge_pandas,
-    merge_spark,
 )
 from repro.cleaning.mislabels import (
     TRUE_LABEL,
     detect_mislabels_pandas,
     inject_mislabels,
     repair_mislabels_pandas,
-    repair_mislabels_spark,
 )
 from repro.cleaning.registry import ERROR_TYPES, CleaningMethod, methods_for
 from repro.oracle import assert_equivalent
@@ -47,18 +40,16 @@ class TestDuplicates:
         out = dedup_pandas(dup_frame, ["key"])
         assert out.v.tolist() == [10, 20, 30, 40]
 
-    def test_dedup_spark_matches(self, spark, dup_frame):
-        sdf = spark.createDataFrame(dup_frame.reset_index(names="rid"))
-        got = dedup_spark(sdf, ["key"], "rid").toPandas().sort_values("key")
-        assert got.v.tolist() == [10, 20, 30, 40]
-
-    def test_dedup_spark_against_oracle(self, spark, dup_frame):
-        pdf = dup_frame.reset_index(names="rid")
-        out = dedup_spark(spark.createDataFrame(pdf), ["key"], "rid").select("key", "v")
+    @pytest.mark.parametrize(
+        "key", [["key"], ["key", "g"]], ids=["one_column", "two_columns"]
+    )
+    def test_dedup_against_oracle(self, spark, dup_frame, key):
+        pdf = dup_frame.assign(g=[0, 0, 0, 1, 0, 1, 0]).reset_index(names="rid")
+        keys = ", ".join(key)
         assert_equivalent(
-            out,
-            """SELECT key, v FROM (
-                 SELECT key, v, ROW_NUMBER() OVER (PARTITION BY key ORDER BY rid) rn
+            spark.createDataFrame(dedup_pandas(pdf, key)),
+            f"""SELECT rid, key, v, g FROM (
+                 SELECT *, ROW_NUMBER() OVER (PARTITION BY {keys} ORDER BY rid) rn
                  FROM t) WHERE rn = 1""",
             t=pdf,
         )
@@ -103,25 +94,62 @@ class TestInconsistencies:
         out = merge_pandas(train, stats, ["c"])
         assert out.c.isna().sum() == 1
 
-    def test_spark_stats_match_pandas(self, spark):
-        pdf = pd.DataFrame(
-            {"c": ["English", "English", "english", "en", "French", "french!"]}
-        )
-        s_pd = fit_merge_stats(pdf, ["c"])
-        s_sp = fit_merge_stats_spark(spark.createDataFrame(pdf), ["c"])
-        assert s_sp.canonical["c"] == s_pd.canonical["c"]
 
-    def test_spark_merge_matches_pandas(self, spark):
-        pdf = pd.DataFrame({"c": ["A b", "a B", "a b!", "zz", "A b"]})
-        stats = fit_merge_stats(pdf, ["c"])
-        got = (
-            merge_spark(spark.createDataFrame(pdf), stats, ["c"])
-            .toPandas()
-            .c.sort_values()
-            .tolist()
+# DuckDB canonical variant per fingerprint cluster of ``t.c`` (most
+# frequent, ties to the smaller string), written independently of the
+# pandas code; the fingerprint column ``fp`` is computed in pandas.
+CANON = """canon AS (
+    SELECT fp, c AS canonical FROM (
+        SELECT fp, c, ROW_NUMBER() OVER (
+            PARTITION BY fp ORDER BY COUNT(*) DESC, c) AS rn
+        FROM t WHERE c IS NOT NULL GROUP BY fp, c)
+    WHERE rn = 1)"""
+
+
+def _with_fp(pdf: pd.DataFrame) -> pd.DataFrame:
+    return pdf.assign(fp=pdf.c.map(fingerprint, na_action="ignore"))
+
+
+class TestInconsistenciesAgainstOracle:
+    @pytest.fixture
+    def train(self):
+        # Clusters with a clear winner, a 2-2 tie, a 1-1-1 tie, a
+        # singleton and a missing value.
+        return pd.DataFrame(
+            {
+                "c": [
+                    "English", "English", "english", "en",
+                    "French", "french!", "French", "french!",
+                    "New York", "york new", "NEW YORK", None,
+                ]
+            }
+        ).reset_index(names="rid")
+
+    def test_canonical_mapping(self, spark, train):
+        stats = fit_merge_stats(train, ["c"])
+        got = pd.DataFrame(
+            list(stats.canonical["c"].items()), columns=["fp", "canonical"]
         )
-        want = merge_pandas(pdf, stats, ["c"]).c.sort_values().tolist()
-        assert got == want
+        assert_equivalent(
+            spark.createDataFrame(got),
+            f"WITH {CANON} SELECT fp, canonical FROM canon",
+            t=_with_fp(train),
+        )
+
+    def test_merge(self, spark, train):
+        stats = fit_merge_stats(train, ["c"])
+        test = pd.DataFrame(
+            {"c": ["ENGLISH", "french", "York, New", "boston", None, "en"]}
+        ).reset_index(names="rid")
+        for pdf, table in ((train, "t"), (test, "u")):
+            assert_equivalent(
+                spark.createDataFrame(merge_pandas(pdf, stats, ["c"])),
+                f"""WITH {CANON}
+                    SELECT rid, COALESCE(canonical, {table}.c) AS c
+                    FROM {table} LEFT JOIN canon USING (fp)""",
+                t=_with_fp(train),
+                u=_with_fp(test),
+            )
 
 
 @pytest.fixture
@@ -165,10 +193,13 @@ class TestMislabels:
         fixed = repair_mislabels_pandas(out, "y")
         assert (fixed.y == fixed[TRUE_LABEL]).all()
 
-    def test_repair_spark_matches(self, spark, labeled):
+    def test_repair_against_oracle(self, spark, labeled):
         out = inject_mislabels(labeled, "y", variant="uniform", seed=4)
-        got = repair_mislabels_spark(spark.createDataFrame(out), "y").toPandas()
-        assert (got.y == got[TRUE_LABEL]).all()
+        assert_equivalent(
+            spark.createDataFrame(repair_mislabels_pandas(out, "y")),
+            f"SELECT x, {TRUE_LABEL} AS y, {TRUE_LABEL} FROM t",
+            t=out,
+        )
 
     def test_injection_deterministic(self, labeled):
         a = inject_mislabels(labeled, "y", variant="uniform", seed=5)

@@ -1,4 +1,5 @@
-"""Missing-value cleaning: pandas/Spark equivalence + DuckDB oracle."""
+"""Missing-value cleaning: semantics, and every statistic and repair
+against DuckDB SQL."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -6,12 +7,9 @@ import pytest
 from repro.cleaning.missing import (
     DUMMY,
     delete_missing_pandas,
-    delete_missing_spark,
     detect_missing_pandas,
     fit_impute_stats,
-    fit_impute_stats_spark,
     impute_pandas,
-    impute_spark,
     split_repair,
 )
 from repro.cleaning.registry import MISSING_IMPUTATIONS
@@ -112,54 +110,84 @@ class TestImputeSemantics:
         assert out.a[0] == pytest.approx(np.nanmedian(dirty.a))
 
 
-class TestSparkTwin:
-    def test_stats_match_pandas(self, spark, dirty):
-        s_pd = fit_impute_stats(dirty, ["a", "b"], ["c"])
-        s_sp = fit_impute_stats_spark(spark.createDataFrame(dirty), ["a", "b"], ["c"])
-        assert s_sp.num_mean["a"] == pytest.approx(s_pd.num_mean["a"])
-        assert s_sp.num_median["b"] == pytest.approx(s_pd.num_median["b"])
-        assert s_sp.cat_mode["c"] == s_pd.cat_mode["c"]
+# DuckDB fill value per numeric statistic / categorical strategy, written
+# independently of the pandas code.
+NUM_FILL = {
+    "mean": "(SELECT AVG({c}) FROM t)",
+    "median": "(SELECT MEDIAN({c}) FROM t)",
+    "mode": "(SELECT {c} FROM t WHERE {c} IS NOT NULL "
+    "GROUP BY {c} ORDER BY COUNT(*) DESC, {c} LIMIT 1)",
+}
+CAT_FILL = {"dummy": f"'{DUMMY}'", "mode": NUM_FILL["mode"]}
 
-    def test_impute_matches_pandas(self, spark, dirty):
-        s = fit_impute_stats(dirty, ["a", "b"], ["c"])
-        got = impute_spark(
-            spark.createDataFrame(dirty), s, numeric=["a", "b"], categorical=["c"],
-            num_method="mean", cat_method="dummy",
-        ).toPandas()
-        want = impute_pandas(
-            dirty, s, numeric=["a", "b"], categorical=["c"],
-            num_method="mean", cat_method="dummy",
-        )
-        pd.testing.assert_frame_equal(
-            got.sort_values(["a", "b"]).reset_index(drop=True),
-            want.sort_values(["a", "b"]).reset_index(drop=True),
-            check_dtype=False,
-        )
 
-    def test_delete_matches_pandas(self, spark, dirty):
-        got = delete_missing_spark(
-            spark.createDataFrame(dirty), ["a", "b", "c"]
-        ).toPandas()
-        want = delete_missing_pandas(dirty, ["a", "b", "c"])
-        assert len(got) == len(want)
+@pytest.fixture
+def train():
+    """~20 % missing numeric cells and ~17 % missing categories. In
+    ``a`` and ``c`` the most frequent value is tied, so the mode's tie
+    rule is checked."""
+    rng = np.random.default_rng(7)
+    n = 80
+    a = rng.integers(0, 6, n).astype(float)
+    b = rng.normal(size=n).round(1)
+    for col in (a, b):
+        col[rng.random(n) < 0.2] = None
+    c = np.resize(np.array(["y", "x", "z", "x", "y", None], dtype=object), n)
+    pdf = pd.DataFrame({"a": a, "b": b, "c": c})
+    for col in ("a", "c"):
+        counts = pdf[col].value_counts()
+        assert (counts == counts.max()).sum() > 1
+    return pdf
 
-    def test_impute_against_oracle(self, spark, dirty):
-        """Spark mean imputation must equal DuckDB's COALESCE+AVG SQL."""
-        s = fit_impute_stats(dirty, ["a"], [])
-        out = impute_spark(
-            spark.createDataFrame(dirty[["a"]]), s, numeric=["a"], categorical=[],
-            num_method="mean", cat_method="mode",
-        ).select("a")
+
+class TestAgainstOracle:
+    """The pandas functions against DuckDB SQL over the same frame."""
+
+    @pytest.mark.parametrize("col", ["a", "b"])
+    def test_numeric_stats(self, spark, train, col):
+        s = fit_impute_stats(train, ["a", "b"], ["c"])
+        got = {
+            "mean": s.num_mean[col],
+            "median": s.num_median[col],
+            "mode": s.num_mode[col],
+        }
         assert_equivalent(
-            out,
-            "SELECT COALESCE(a, (SELECT AVG(a) FROM t)) AS a FROM t",
-            t=dirty[["a"]],
+            spark.createDataFrame(pd.DataFrame([got])),
+            f"SELECT AVG({col}) AS mean, MEDIAN({col}) AS median, "
+            f"{NUM_FILL['mode'].format(c=col)} AS mode FROM t",
+            t=train,
         )
 
-    def test_delete_against_oracle(self, spark, dirty):
-        out = delete_missing_spark(spark.createDataFrame(dirty[["a", "b"]]), ["a", "b"])
+    def test_categorical_mode(self, spark, train):
+        s = fit_impute_stats(train, ["a", "b"], ["c"])
         assert_equivalent(
-            out,
-            "SELECT a, b FROM t WHERE a IS NOT NULL AND b IS NOT NULL",
-            t=dirty[["a", "b"]],
+            spark.createDataFrame(pd.DataFrame({"mode": [s.cat_mode["c"]]})),
+            f"SELECT {NUM_FILL['mode'].format(c='c')} AS mode",
+            t=train,
+        )
+
+    @pytest.mark.parametrize("repair", MISSING_IMPUTATIONS)
+    def test_impute(self, spark, train, repair):
+        num_m, cat_m = split_repair(repair)
+        s = fit_impute_stats(train, ["a", "b"], ["c"])
+        out = impute_pandas(
+            train, s, numeric=["a", "b"], categorical=["c"],
+            num_method=num_m, cat_method=cat_m,
+        )
+        num = NUM_FILL[num_m]
+        assert_equivalent(
+            spark.createDataFrame(out),
+            f"SELECT COALESCE(a, {num.format(c='a')}) AS a, "
+            f"COALESCE(b, {num.format(c='b')}) AS b, "
+            f"COALESCE(c, {CAT_FILL[cat_m].format(c='c')}) AS c FROM t",
+            t=train,
+        )
+
+    def test_delete(self, spark, train):
+        out = delete_missing_pandas(train, ["a", "b", "c"])
+        assert_equivalent(
+            spark.createDataFrame(out),
+            "SELECT a, b, c FROM t "
+            "WHERE a IS NOT NULL AND b IS NOT NULL AND c IS NOT NULL",
+            t=train,
         )

@@ -1,4 +1,5 @@
-"""Outlier cleaning: SD/IQR/IF detection, repairs, Spark twins, oracle."""
+"""Outlier cleaning: SD/IQR/IF detection, repairs, and the SD/IQR
+statistics and repairs against DuckDB SQL."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -8,9 +9,7 @@ from repro.cleaning.outliers import (
     detect_cells_pandas,
     detect_rows_pandas,
     fit_outlier_stats,
-    fit_outlier_stats_spark,
     repair_pandas,
-    repair_spark,
 )
 from repro.oracle import assert_equivalent
 
@@ -137,54 +136,103 @@ class TestRepairs:
         assert out.a[1] == pytest.approx(s.fill_mean["a"])
 
 
-class TestSparkTwin:
-    @pytest.mark.parametrize("detect", ["SD", "IQR"])
-    def test_bounds_match_pandas(self, spark, frame, detect):
-        s_pd = fit_outlier_stats(frame, ["a", "b"], detect)
-        s_sp = fit_outlier_stats_spark(spark.createDataFrame(frame), ["a", "b"], detect)
-        for c in ("a", "b"):
-            assert s_sp.bounds[c][0] == pytest.approx(s_pd.bounds[c][0])
-            assert s_sp.bounds[c][1] == pytest.approx(s_pd.bounds[c][1])
-            assert s_sp.fill_mean[c] == pytest.approx(s_pd.fill_mean[c])
-            assert s_sp.fill_median[c] == pytest.approx(s_pd.fill_median[c])
+# DuckDB detection bounds and inlier fill values, written independently
+# of the pandas code. ``bnd`` holds one row of bounds ``lo_<c>``/``hi_<c>``
+# per column; ``inl_<c>`` the column's training inliers.
+BOUNDS = {
+    "SD": "AVG({c}) - 3 * STDDEV_POP({c}) AS lo_{c}, "
+    "AVG({c}) + 3 * STDDEV_POP({c}) AS hi_{c}",
+    "IQR": "QUANTILE_CONT({c}, 0.25) - 1.5 * (QUANTILE_CONT({c}, 0.75) - "
+    "QUANTILE_CONT({c}, 0.25)) AS lo_{c}, "
+    "QUANTILE_CONT({c}, 0.75) + 1.5 * (QUANTILE_CONT({c}, 0.75) - "
+    "QUANTILE_CONT({c}, 0.25)) AS hi_{c}",
+}
+FILL = {
+    "impute_mean": "(SELECT AVG({c}) FROM inl_{c})",
+    "impute_median": "(SELECT MEDIAN({c}) FROM inl_{c})",
+    "impute_mode": "(SELECT {c} FROM inl_{c} GROUP BY {c} "
+    "ORDER BY COUNT(*) DESC, {c} LIMIT 1)",
+}
+COLS = ("a", "b")
 
-    def test_repair_matches_pandas(self, spark, frame):
-        s = fit_outlier_stats(frame, ["a"], "IQR")
-        got = (
-            repair_spark(spark.createDataFrame(frame), s, "impute_mean")
-            .toPandas()
-            .sort_values(["a", "b"])
-            .reset_index(drop=True)
-        )
-        want = (
-            repair_pandas(frame, s, "impute_mean")
-            .sort_values(["a", "b"])
-            .reset_index(drop=True)
-        )
-        pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
-    def test_delete_against_oracle(self, spark, frame):
-        s = fit_outlier_stats(frame, ["a"], "SD")
-        lo, hi = s.bounds["a"]
-        out = repair_spark(spark.createDataFrame(frame[["a"]]), s, "delete")
+def _with(detect: str) -> str:
+    """``WITH`` clause defining ``bnd`` and every ``inl_<c>`` over ``t``."""
+    bounds = ", ".join(BOUNDS[detect].format(c=c) for c in COLS)
+    inliers = "".join(
+        f", inl_{c} AS (SELECT {c} FROM t, bnd WHERE {c} BETWEEN lo_{c} AND hi_{c})"
+        for c in COLS
+    )
+    return f"WITH bnd AS (SELECT {bounds} FROM t){inliers} "
+
+
+@pytest.mark.parametrize("detect", ["SD", "IQR"])
+class TestAgainstOracle:
+    """The pandas functions against DuckDB SQL over the same frame."""
+
+    @pytest.fixture
+    def train(self):
+        """Quarter steps in [-5, 5] plus gross outliers. Each column's
+        most frequent value is tied, so the inlier mode's tie rule is
+        checked."""
+        rng = np.random.default_rng(12)
+        X = rng.integers(-20, 21, (200, 2)) / 4
+        X[:4, 0] = [40.0, -35.0, 50.0, 45.0]
+        X[4:6, 1] = [-30.0, 30.0]
+        pdf = pd.DataFrame(X, columns=list(COLS))
+        for c in COLS:
+            counts = pdf[c].value_counts()
+            assert (counts == counts.max()).sum() > 1
+        return pdf
+
+    @pytest.fixture
+    def holdout(self, train):
+        """Shuffled and scaled training rows, repaired with train stats."""
+        return train.sample(frac=1.0, random_state=1).reset_index(drop=True) * 1.1
+
+    def test_bounds(self, spark, train, detect):
+        s = fit_outlier_stats(train, list(COLS), detect)
+        got = {f"lo_{c}": s.bounds[c][0] for c in COLS}
+        got.update({f"hi_{c}": s.bounds[c][1] for c in COLS})
         assert_equivalent(
-            out,
-            f"SELECT a FROM t WHERE a >= {lo} AND a <= {hi}",
-            t=frame[["a"]],
+            spark.createDataFrame(pd.DataFrame([got])),
+            _with(detect) + "SELECT * FROM bnd",
+            t=train,
         )
 
-    def test_impute_against_oracle(self, spark, frame):
-        s = fit_outlier_stats(frame, ["a"], "IQR")
-        lo, hi = s.bounds["a"]
-        fill = s.fill_mean["a"]
-        out = repair_spark(spark.createDataFrame(frame[["a"]]), s, "impute_mean")
+    def test_inlier_fills(self, spark, train, detect):
+        s = fit_outlier_stats(train, list(COLS), detect)
+        got = {f"{r}_{c}": s.fill_value(c, r) for r in FILL for c in COLS}
+        fills = ", ".join(
+            f"{FILL[r].format(c=c)} AS {r}_{c}" for r in FILL for c in COLS
+        )
         assert_equivalent(
-            out,
-            f"SELECT CASE WHEN a < {lo} OR a > {hi} THEN {fill} ELSE a END AS a FROM t",
-            t=frame[["a"]],
+            spark.createDataFrame(pd.DataFrame([got])),
+            _with(detect) + f"SELECT {fills}",
+            t=train,
         )
 
-    def test_if_spark_raises(self, spark, frame):
-        s = fit_outlier_stats(frame, ["a", "b"], "IF", seed=0)
-        with pytest.raises(NotImplementedError):
-            repair_spark(spark.createDataFrame(frame), s, "delete")
+    def test_delete(self, spark, train, holdout, detect):
+        s = fit_outlier_stats(train, list(COLS), detect)
+        inlier = " AND ".join(f"{c} BETWEEN lo_{c} AND hi_{c}" for c in COLS)
+        assert_equivalent(
+            spark.createDataFrame(repair_pandas(holdout, s, "delete")),
+            _with(detect) + f"SELECT a, b FROM u, bnd WHERE {inlier}",
+            t=train,
+            u=holdout,
+        )
+
+    @pytest.mark.parametrize("repair", list(FILL))
+    def test_impute(self, spark, train, holdout, detect, repair):
+        s = fit_outlier_stats(train, list(COLS), detect)
+        cols = ", ".join(
+            f"CASE WHEN {c} BETWEEN lo_{c} AND hi_{c} THEN {c} "
+            f"ELSE {FILL[repair].format(c=c)} END AS {c}"
+            for c in COLS
+        )
+        assert_equivalent(
+            spark.createDataFrame(repair_pandas(holdout, s, repair)),
+            _with(detect) + f"SELECT {cols} FROM u, bnd",
+            t=train,
+            u=holdout,
+        )

@@ -1,5 +1,6 @@
 """Integration test: the full Spark dataflow (grid -> one mapInPandas
-task per unit -> relations -> queries -> report) at smoke scale."""
+task per unit -> relations -> queries -> report) at smoke scale, and a
+failing unit's name in the error."""
 import dataclasses
 
 import pytest
@@ -74,6 +75,14 @@ class TestResults:
             ["train_version", "model", "test_variant"]
         ).reset_index(drop=True)
         pd.testing.assert_frame_equal(local, remote, check_dtype=False)
+
+
+class TestFailures:
+    def test_failed_unit_is_named(self, spark):
+        proto = dataclasses.replace(SMOKE, n_splits=1, models=("no_such_model",))
+        msg = "unit Movie/duplicates/100 failed: KeyError"
+        with pytest.raises(Exception, match=msg):
+            run_grid(spark, proto, ("duplicates",), ("Movie",))
 
 
 class TestRelationsEndToEnd:

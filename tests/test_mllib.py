@@ -1,6 +1,5 @@
-"""MLlib backend tests: Spark feature pipeline, all seven models as
-pipeline stages (incl. custom KNN/AdaBoost), and cross-backend
-agreement with the NumPy implementations."""
+"""MLlib oracle tests: the Spark feature pipeline, the five stock
+estimators, and their agreement with the NumPy models."""
 import numpy as np
 import pandas as pd
 import pytest
@@ -11,8 +10,6 @@ from repro.datasets.base import DatasetSpec
 from repro.ml.mllib import (
     FEATURES,
     LABEL,
-    AdaBoostClassifier,
-    KNNClassifier,
     build_feature_pipeline,
     fit_and_predict,
     make_estimator,
@@ -74,19 +71,20 @@ class TestFeaturePipeline:
         assert len(out.select(FEATURES).first()[FEATURES]) == 32
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "logistic_regression",
-        "decision_tree",
-        "random_forest",
-        "xgboost",
-        "naive_bayes",
-        "knn",
-        "adaboost",
-    ],
-)
+# The NumPy models that MLlib has a stock estimator for (xgboost -> GBT).
+STOCK_MODELS = [
+    "logistic_regression",
+    "decision_tree",
+    "random_forest",
+    "xgboost",
+    "naive_bayes",
+]
+
+
+@pytest.mark.parametrize("name", STOCK_MODELS)
 class TestSevenModels:
+    """The five of the seven CleanML models that MLlib ships."""
+
     def test_learns_toy(self, spark, toy, toy_spec, name):
         train, test = toy
         pred = fit_and_predict(name, toy_spec, train, test, seed=0)
@@ -94,67 +92,53 @@ class TestSevenModels:
 
 
 class TestCustomStages:
-    def test_knn_k1_memorizes_train(self, spark, toy, toy_spec):
-        train, _ = toy
-        prepared = prepare(train, toy_spec)
-        feat = build_feature_pipeline(toy_spec).fit(prepared)
-        train_f = feat.transform(prepared)
-        knn = KNNClassifier(k=1).fit(train_f)
-        assert _acc(knn.transform(train_f)) == 1.0
-
-    def test_adaboost_stages_recorded(self, spark, toy, toy_spec):
-        train, _ = toy
-        prepared = prepare(train, toy_spec)
-        train_f = build_feature_pipeline(toy_spec).fit(prepared).transform(prepared)
-        ab = AdaBoostClassifier(n_estimators=3, max_depth=1).fit(train_f)
-        assert 1 <= len(ab.stages_) <= 3
-        assert all(alpha > 0 for _, alpha in ab.stages_)
-
     def test_unknown_estimator(self):
         with pytest.raises(KeyError):
             make_estimator("svm")
 
 
-class TestCrossBackend:
-    """Both backends must see the same qualitative picture on EEG."""
+@pytest.fixture(scope="module")
+def eeg_iqr_mean(spark):
+    """EEG split 11, dirty and IQR + impute_mean cleaned, as pandas
+    frames and as Spark frames."""
+    from repro.cleaning.outliers import fit_outlier_stats, repair_pandas
+    from repro.core.runner import split_frame
 
-    def test_mllib_agrees_with_numpy_on_cleaning_gain(self, spark):
-        from repro.cleaning.outliers import fit_outlier_stats, repair_pandas
-        from repro.core.runner import split_frame
+    spec = spec_for("EEG")
+    train, test = split_frame(load_dataset("EEG"), 11, 0.3)
+    stats = fit_outlier_stats(train, list(spec.numeric), "IQR")
+    train_c = repair_pandas(train, stats, "impute_mean")
+    test_c = repair_pandas(test, stats, "impute_mean")
+    frames = {"dirty": train, "clean": train_c, "test": test_c}
+    return spec, frames, {k: spark.createDataFrame(v) for k, v in frames.items()}
+
+
+@pytest.mark.parametrize("name", STOCK_MODELS)
+class TestCrossBackend:
+    """Both backends, fitted on the same dirty and cleaned EEG training
+    sets and scored on the same cleaned test set, see the same picture."""
+
+    def test_numpy_agrees_with_mllib(self, eeg_iqr_mean, name):
         from repro.ml.features import Featurizer
         from repro.ml.metrics import accuracy
         from repro.ml.models import make_model
 
-        spec = spec_for("EEG")
-        pdf = load_dataset("EEG")
-        train, test = split_frame(pdf, 11, 0.3)
-        stats = fit_outlier_stats(train, list(spec.numeric), "IQR")
-        train_c = repair_pandas(train, stats, "impute_mean")
-        test_c = repair_pandas(test, stats, "impute_mean")
-
-        # NumPy backend pair.
-        feat_d = Featurizer(numeric=list(spec.numeric)).fit(train)
-        feat_c = Featurizer(numeric=list(spec.numeric)).fit(train_c)
-        yd = train[spec.label].to_numpy()
-        yc = train_c[spec.label].to_numpy()
-        yt = test_c[spec.label].to_numpy()
-        m_dirty = make_model("logistic_regression").fit(feat_d.transform(train), yd)
-        m_clean = make_model("logistic_regression").fit(feat_c.transform(train_c), yc)
-        np_pair = (
-            accuracy(yt, m_dirty.predict(feat_d.transform(test_c))),
-            accuracy(yt, m_clean.predict(feat_c.transform(test_c))),
-        )
-
-        # MLlib backend pair on the same frames.
-        sp_train = spark.createDataFrame(train)
-        sp_train_c = spark.createDataFrame(train_c)
-        sp_test_c = spark.createDataFrame(test_c)
-        ml_pair = (
-            _acc(fit_and_predict("logistic_regression", spec, sp_train, sp_test_c)),
-            _acc(fit_and_predict("logistic_regression", spec, sp_train_c, sp_test_c)),
-        )
-        # Same direction (cleaning helps) and close absolute values.
-        assert np_pair[1] > np_pair[0]
-        assert ml_pair[1] > ml_pair[0]
-        assert abs(np_pair[0] - ml_pair[0]) < 0.08
-        assert abs(np_pair[1] - ml_pair[1]) < 0.08
+        spec, frames, sdfs = eeg_iqr_mean
+        test = frames["test"]
+        yt = test[spec.label].to_numpy()
+        np_acc, ml_acc = {}, {}
+        for side in ("dirty", "clean"):
+            train = frames[side]
+            feat = Featurizer(numeric=list(spec.numeric)).fit(train)
+            model = make_model(name).fit(
+                feat.transform(train), train[spec.label].to_numpy()
+            )
+            np_acc[side] = accuracy(yt, model.predict(feat.transform(test)))
+            ml_acc[side] = _acc(fit_and_predict(name, spec, sdfs[side], sdfs["test"]))
+            assert abs(np_acc[side] - ml_acc[side]) < 0.08, (side, np_acc, ml_acc)
+        # Cleaning helps on both backends. Only LR and NB are asserted:
+        # for the tree models the change is within noise (on this split
+        # DT loses on both backends, and MLlib's RF does not move).
+        if name in ("logistic_regression", "naive_bayes"):
+            assert np_acc["clean"] > np_acc["dirty"]
+            assert ml_acc["clean"] > ml_acc["dirty"]

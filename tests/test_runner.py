@@ -1,5 +1,8 @@
 """Tests for the work-unit runner: splits, version building, execution."""
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pandas as pd
@@ -146,3 +149,17 @@ class TestRunUnit:
         assert (dirty.detect == "none").all()
         sd = out[out.train_version == "SD:impute_mean"]
         assert (sd.detect == "SD").all() and (sd.repair == "impute_mean").all()
+
+
+def test_runner_imports_no_spark():
+    """The unit runner and everything it imports is pandas/NumPy only."""
+    code = (
+        "import sys, repro.core.runner; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'pyspark'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout.strip() == "[]"
