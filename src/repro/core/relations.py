@@ -1,111 +1,142 @@
 """Build the CleanML relations R1/R2/R3 from the results DataFrame.
 
-The pipeline is Spark-native up to one small driver-side step:
+The pipeline is Spark-native up to one small driver-side step, and it
+shuffles the results once:
 
-1. **Metric pairs** per (spec, split) come from one BD and one CD join
-   between the "before" and "after" slices of the results DataFrame
-   (Table 4/5 semantics, per scenario).
-2. **Seed aggregation** (§4.2.1): R1 averages each side over the
-   random-search seeds per model; R2/R3 select the best (model, seed)
-   by validation metric via window functions.
-3. **Cleaning-method selection** for R3 (§4.1) picks the method whose
-   selected clean-side model has the best validation metric.
-4. **t-tests** (§4.2.2): Spark aggregates each spec's split pairs to
-   (count, means, standard deviation of the differences); the driver
-   turns those moments into p-values with ``ttest_from_moments``. The
-   **BY correction** (§4.3) runs per relation and test type, and flags
-   follow the paper's decision rule.
+1. **Pair sides, one shuffle by unit.** Only the rows that are one side
+   of a pair are kept (Table 4/5 semantics): *after* (a cleaned version
+   on its own test variant), *BD before* (the baseline on a cleaned
+   variant) and *CD before* (a cleaned version on the dirty test set,
+   not for missing values). Each row names its cleaning method, and the
+   rows are repartitioned by unit (dataset, error type, split). Every
+   later grouping key contains the unit, so Spark adds no further
+   Exchange: both sides of a pair meet in one aggregate row.
+2. **Seed aggregation** (§4.2.1): one ``groupBy(unit, method, model)``
+   computes, per side, a conditional average of ``test_metric`` (R1's
+   seed means) and a conditional min over ``struct(-val_metric, model,
+   search_seed, ...)``, the model's best seed. R2 takes the min of those
+   structs again per (unit, method): the lexicographic order is "best
+   validation metric, then lowest model, then lowest seed".
+3. **Cleaning-method selection** for R3 (§4.1) is the min over
+   ``struct(-after_val, detect, repair, ...)`` per (unit, scenario).
+   BD and CD rows come from one ``explode`` of a two-element array and
+   are kept where both sides exist.
+4. **t-tests** (§4.2.2): one Spark job aggregates the split pairs of all
+   three relations to (count, means, standard deviation of the
+   differences); the driver turns those moments into p-values with
+   ``ttest_from_moments``. The **BY correction** (§4.3) runs per
+   relation and test type, and flags follow the paper's decision rule.
 """
 from __future__ import annotations
 
+import functools
+from collections.abc import Callable
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, Window
+from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.schema import DELETE_BASELINE, DIRTY, R1_KEY, R2_KEY, R3_KEY
 from repro.stats import by_adjust, decide_flag, ttest_from_moments
 
-_METHOD_KEY = ["dataset", "error_type", "detect", "repair", "train_version", "split_seed"]
+_UNIT = ["dataset", "error_type", "split_seed"]
+_SIDES = ("after", "BD", "CD")
 _TESTS = ("p_two", "p_upper", "p_lower")
 
 
-def _pairs(results: DataFrame, per_model: bool) -> DataFrame:
-    """(before, after) metric pairs per spec and split.
-
-    BD: before = baseline-trained model on the cleaned test variant,
-        after = clean-trained model on the same variant.
-    CD: before = clean-trained model on the dirty test set,
-        after = the same model on its cleaned test variant
-        (not for missing values, which are BD-only).
-
-    ``per_model`` (R1) averages each side's ``test_metric`` per model
-    over the search seeds; otherwise (R2) each side keeps the best
-    (model, search seed) by ``val_metric``, ties to the lowest model
-    and then the lowest seed, and the after side also reports that
-    ``val_metric`` as ``after_val``.
-    """
-    model = ["model"] if per_model else []
-
-    def side(rows: DataFrame, keys: list[str], name: str) -> DataFrame:
-        if per_model:
-            return rows.groupBy(*keys, "model").agg(F.avg("test_metric").alias(f"{name}_metric"))
-        w = Window.partitionBy(*keys).orderBy(F.desc("val_metric"), "model", "search_seed")
-        return (
-            rows.withColumn("__rn", F.row_number().over(w))
-            .where(F.col("__rn") == 1)
-            .select(*keys, F.col("test_metric").alias(f"{name}_metric"),
-                    F.col("val_metric").alias(f"{name}_val"))
-        )
-
+def _sides(results: DataFrame) -> DataFrame:
+    """Per (unit, method, model): each side's seed mean ``<side>_mean``
+    and best seed ``<side>_best`` = (k = -val_metric, model, search_seed,
+    metric, val), null where the side has no rows."""
     baseline = F.when(F.col("error_type") == "missing_values", DELETE_BASELINE).otherwise(DIRTY)
     is_base, variant = F.col("train_version") == baseline, F.col("test_variant")
-    method = results.where(~is_base)
-    after = side(method.where(variant == F.col("train_version")), _METHOD_KEY, "after")
-    # The baseline model's score on a cleaned test variant is the BD
-    # "before" of the method that produced that variant.
-    bd_key = ["dataset", "error_type", "split_seed", "train_version"]
-    bd_rows = results.where(is_base & (variant != DIRTY)).drop("train_version")
-    before_bd = side(bd_rows.withColumnRenamed("test_variant", "train_version"), bd_key, "before")
-    cd_rows = method.where((variant == DIRTY) & (F.col("error_type") != "missing_values"))
-    before_cd = side(cd_rows, _METHOD_KEY, "before")
-    cols = [*_METHOD_KEY[:5], *model, "scenario", "split_seed",
-            "before_metric", "after_metric", *([] if per_model else ["after_val"])]
-    bd = after.join(before_bd, on=[*bd_key, *model]).withColumn("scenario", F.lit("BD"))
-    cd = after.join(before_cd, on=[*_METHOD_KEY, *model]).withColumn("scenario", F.lit("CD"))
-    return bd.select(*cols).unionByName(cd.select(*cols))
+    side = (
+        F.when(~is_base & (variant == F.col("train_version")), "after")
+        # The baseline model's score on a cleaned test variant is the BD
+        # "before" of the method that produced that variant.
+        .when(is_base & (variant != DIRTY), "BD")
+        .when(~is_base & (variant == DIRTY) & (F.col("error_type") != "missing_values"), "CD")
+    )
+    rows = (
+        results.withColumn("side", side)
+        .where(F.col("side").isNotNull())
+        .withColumn("method", F.when(is_base, variant).otherwise(F.col("train_version")))
+        .repartition(*_UNIT)
+    )
+    # Ordered best first: highest val_metric, then lowest model and seed.
+    best = F.struct((-F.col("val_metric")).alias("k"), "model", "search_seed",
+                    F.col("test_metric").alias("metric"), F.col("val_metric").alias("val"))
+    is_after = F.col("side") == "after"
+    aggs = [F.min(F.when(is_after, F.col(c))).alias(c) for c in ("detect", "repair")]
+    for s in _SIDES:
+        on = F.col("side") == s
+        aggs += [F.avg(F.when(on, F.col("test_metric"))).alias(f"{s}_mean"),
+                 F.min(F.when(on, best)).alias(f"{s}_best")]
+    return rows.groupBy(*_UNIT, "method", "model").agg(*aggs)
+
+
+def _bd_cd(sides: DataFrame, model: list[str], metric: Callable[[str], Column],
+           after_val: list[Column]) -> DataFrame:
+    """One BD and one CD row per row of ``sides``, kept where both sides
+    have a best row ``<side>_best``; ``metric(side)`` is that side's
+    metric. R1 and R2 both test ``<side>_best``, so their plans read the
+    same columns below the shuffle and Spark reuses one Exchange."""
+    pair = F.explode(F.array(*(
+        F.when(F.col(f"{s}_best").isNotNull(),
+               F.struct(F.lit(s).alias("scenario"), metric(s).alias("before_metric")))
+        for s in ("BD", "CD")
+    ))).alias("pair")
+    return (
+        sides.select("*", pair)
+        .where(F.col("pair").isNotNull() & F.col("after_best").isNotNull())
+        .select("dataset", "error_type", "detect", "repair",
+                F.col("method").alias("train_version"), *model, "pair.scenario", "split_seed",
+                "pair.before_metric", metric("after").alias("after_metric"), *after_val)
+    )
 
 
 def build_pairs_r1(results: DataFrame) -> DataFrame:
     """R1 metric pairs: seed-averaged (before, after) per model, spec and split."""
-    return _pairs(results, per_model=True)
+    return _bd_cd(_sides(results), ["model"], lambda s: F.col(f"{s}_mean"), [])
 
 
 def build_pairs_r2(results: DataFrame) -> DataFrame:
     """R2 metric pairs: per split, the best (model, seed) on each side by
-    validation metric (§4.2.1 / Table 8, 11)."""
-    return _pairs(results, per_model=False)
+    validation metric, ties to the lowest model and then the lowest seed
+    (§4.2.1 / Table 8, 11); the after side's ``val_metric`` is ``after_val``."""
+    per_method = _sides(results).groupBy(*_UNIT, "method").agg(
+        *(F.min(c).alias(c) for c in ("detect", "repair", *(f"{s}_best" for s in _SIDES)))
+    )
+    return _bd_cd(per_method, [], lambda s: F.col(f"{s}_best.metric"),
+                  [F.col("after_best.val").alias("after_val")])
 
 
 def build_pairs_r3(pairs_r2: DataFrame) -> DataFrame:
     """R3 pairs: per (dataset, error, scenario, split) keep the cleaning
-    method whose clean-side validation metric is best (Table 9)."""
-    w = Window.partitionBy("dataset", "error_type", "scenario", "split_seed").orderBy(
-        F.desc("after_val"), F.asc("detect"), F.asc("repair")
-    )
-    return (
-        pairs_r2.withColumn("__rn", F.row_number().over(w))
-        .where(F.col("__rn") == 1)
-        .drop("__rn")
-    )
+    method whose clean-side validation metric is best, ties to the lowest
+    detect and then repair (Table 9)."""
+    key = [*_UNIT, "scenario"]
+    rest = [c for c in pairs_r2.columns if c not in (*key, "detect", "repair")]
+    best = F.min(F.struct((-F.col("after_val")).alias("k"), "detect", "repair", *rest))
+    picked = pairs_r2.groupBy(*key).agg(best.alias("best"))
+    return picked.select(*(c if c in key else f"best.{c}" for c in pairs_r2.columns))
 
 
-def _flagged(pairs: DataFrame, key: list[str], alpha: float) -> pd.DataFrame:
-    """Per-spec t-tests over the split pairs, BY-adjusted across the
-    relation per test type, then flagged; sorted by ``key``."""
+def _moments(pairs: dict[str, tuple[DataFrame, list[str]]]) -> pd.DataFrame:
+    """Split-pair moments of every relation's specs in one Spark job:
+    each (frame, key) is tagged with its relation name and its key is
+    padded with nulls to ``R1_KEY``."""
+    tagged = [
+        df.select(F.lit(name).alias("relation"),
+                  *(k if k in key else F.lit(None).cast("string").alias(k) for k in R1_KEY),
+                  "before_metric", "after_metric")
+        for name, (df, key) in pairs.items()
+    ]
     d = F.col("after_metric") - F.col("before_metric")
-    out = (
-        pairs.groupBy(*key)
+    return (
+        functools.reduce(DataFrame.unionByName, tagged)
+        .groupBy("relation", *R1_KEY)
         .agg(
             F.count(F.lit(1)).cast("int").alias("n_pairs"),
             F.avg("before_metric").alias("mean_before"),
@@ -114,8 +145,14 @@ def _flagged(pairs: DataFrame, key: list[str], alpha: float) -> pd.DataFrame:
             F.stddev_samp(d).alias("sd_diff"),
         )
         .toPandas()
-        .sort_values(key, ignore_index=True)
     )
+
+
+def _flagged(moments: pd.DataFrame, key: list[str], alpha: float) -> pd.DataFrame:
+    """Per-spec t-tests from one relation's moments, BY-adjusted across
+    the relation per test type, then flagged; sorted by ``key``."""
+    padding = ["relation", *(k for k in R1_KEY if k not in key)]
+    out = moments.drop(columns=padding).sort_values(key, ignore_index=True)
     sd = out.pop("sd_diff")
     tests = [ttest_from_moments(int(n), m, s) for n, m, s in zip(out.n_pairs, out.mean_diff, sd)]
     for col in _TESTS:
@@ -134,8 +171,7 @@ def build_relations(results: DataFrame, alpha: float = 0.05) -> dict[str, pd.Dat
     pairs_r1 = build_pairs_r1(results)
     pairs_r2 = build_pairs_r2(results)
     pairs_r3 = build_pairs_r3(pairs_r2)
-    return {
-        "R1": _flagged(pairs_r1, R1_KEY, alpha),
-        "R2": _flagged(pairs_r2, R2_KEY, alpha),
-        "R3": _flagged(pairs_r3, R3_KEY, alpha),
-    }
+    pairs = {"R1": (pairs_r1, R1_KEY), "R2": (pairs_r2, R2_KEY), "R3": (pairs_r3, R3_KEY)}
+    moments = _moments(pairs)
+    return {name: _flagged(moments[moments.relation == name], key, alpha)
+            for name, (_, key) in pairs.items()}

@@ -1,5 +1,6 @@
 """Q1-Q5 query tests: Spark SQL results checked against the DuckDB
-oracle with the paper's literal SQL, plus share-formatting tests."""
+oracle with the paper's literal SQL, the single-stage plans over the
+registered views, plus share-formatting tests."""
 import pandas as pd
 import pytest
 
@@ -55,6 +56,17 @@ class TestQueriesAgainstOracle:
         sql = QUERIES[q].format(rel="R1", e="outliers")
         got = run_query(spark, q, "R1", "outliers")
         assert_equivalent(got, sql.replace("R1", "t"), t=relation)
+
+
+class TestQueryPlans:
+    """A registered view has one partition, so no query shuffles."""
+
+    @pytest.mark.parametrize("q", ["Q1", "Q2", "Q3", "Q4.1", "Q4.2", "Q5"])
+    def test_no_exchange(self, spark, relation, q):
+        for e in sorted(set(relation.error_type)):
+            if applicable(q, "R1", e):
+                plan = run_query(spark, q, "R1", e)._jdf.queryExecution().executedPlan()
+                assert "Exchange" not in plan.toString(), (q, e)
 
 
 class TestQuerySemantics:

@@ -11,7 +11,9 @@ The frame covers: missing values (``delete`` baseline, BD only even
 with a dirty test score present), an error type with two cleaning
 methods, ties in ``val_metric`` across (model, search seed) pairs, a
 spec with a single split, and specs whose differences are identical
-across splits (zero and non-zero mean).
+across splits (zero and non-zero mean). The pins are also checked with
+the frame coalesced to one partition and hash-partitioned by model,
+and the build must stay within a small budget of Spark jobs.
 
 Re-pin only for an intended change of the relations, and say why::
 
@@ -104,13 +106,31 @@ def _expected(name: str) -> pd.DataFrame:
                        float_precision="round_trip")
 
 
+# Layouts of the results frame besides the one ``createDataFrame`` gives:
+# ``build_relations`` repartitions by unit itself and must not depend on
+# how its input is partitioned.
+LAYOUTS = {
+    "coalesce1": lambda df: df.coalesce(1),
+    "repartition7_model": lambda df: df.repartition(7, "model"),
+}
+
+
 @pytest.fixture(scope="module")
-def relations(spark):
-    return build_relations(spark.createDataFrame(_results_pdf()), alpha=0.05)
+def results(spark):
+    return spark.createDataFrame(_results_pdf())
 
 
-@pytest.mark.parametrize("name", ["R1", "R2", "R3"])
-def test_relations_match_pinned(relations, name):
+@pytest.fixture(scope="module")
+def relations(results):
+    return build_relations(results, alpha=0.05)
+
+
+@pytest.fixture(scope="module", params=list(LAYOUTS))
+def relations_by_layout(request, results):
+    return build_relations(LAYOUTS[request.param](results), alpha=0.05)
+
+
+def _assert_matches_pinned(relations, name):
     got = _canonical(relations[name], name)
     want = _canonical(_expected(name), name)
     assert list(got.columns) == list(want.columns)
@@ -119,6 +139,30 @@ def test_relations_match_pinned(relations, name):
     assert got.n_pairs.tolist() == want.n_pairs.tolist()
     for col in FLOATS:
         np.testing.assert_allclose(got[col], want[col], rtol=0, atol=1e-12, err_msg=col)
+
+
+def _assert_columns_and_dtypes(relations, name):
+    header = pd.read_csv(os.path.join(RESULTS_DIR, f"{name}.csv"), nrows=0)
+    df = relations[name]
+    assert list(df.columns) == list(header.columns)
+    dtypes = {c: str(t) for c, t in df.dtypes.items()}
+    assert dtypes == {
+        **{k: "object" for k in KEYS[name]},
+        "n_pairs": "int32",
+        **{c: "float64" for c in FLOATS},
+        "flag": "object",
+    }
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3"])
+def test_relations_match_pinned(relations, name):
+    _assert_matches_pinned(relations, name)
+
+
+@pytest.mark.parametrize("name", ["R1", "R2", "R3"])
+def test_other_layouts_match_pinned(relations_by_layout, name):
+    _assert_matches_pinned(relations_by_layout, name)
+    _assert_columns_and_dtypes(relations_by_layout, name)
 
 
 def test_fixture_covers_the_edge_cases(relations):
@@ -139,16 +183,22 @@ def test_fixture_covers_the_edge_cases(relations):
 
 @pytest.mark.parametrize("name", ["R1", "R2", "R3"])
 def test_columns_and_dtypes_match_committed_results(relations, name):
-    header = pd.read_csv(os.path.join(RESULTS_DIR, f"{name}.csv"), nrows=0)
-    df = relations[name]
-    assert list(df.columns) == list(header.columns)
-    dtypes = {c: str(t) for c, t in df.dtypes.items()}
-    assert dtypes == {
-        **{k: "object" for k in KEYS[name]},
-        "n_pairs": "int32",
-        **{c: "float64" for c in FLOATS},
-        "flag": "object",
-    }
+    _assert_columns_and_dtypes(relations, name)
+
+
+def test_build_relations_job_budget(spark, results):
+    """Pairs, seed reduction and method selection share one shuffle of
+    the results by unit, and the moments of all three relations are one
+    more job: 3 jobs here under adaptive execution. Without the shared
+    unit shuffle every grouping level shuffles again (6 jobs)."""
+    sc, group = spark.sparkContext, "test_build_relations_job_budget"
+    sc.setJobGroup(group, "build_relations job budget")
+    try:
+        build_relations(results)
+    finally:
+        sc._jsc.clearJobGroup()
+    jobs = sc.statusTracker().getJobIdsForGroup(group)
+    assert 0 < len(jobs) <= 4, jobs
 
 
 if __name__ == "__main__":
